@@ -64,12 +64,12 @@ def test_heuristics(benchmark, graph, platform, heuristic):
 
 
 @pytest.mark.benchmark(group="local-search")
-def test_local_search_full_analyze(benchmark, mapping):
-    """Seed evaluation path: a full O(V+E) analyze() per candidate."""
+def test_local_search_reference(benchmark, mapping):
+    """Reference engine: a full O(V+E) analyze() per candidate."""
     refined = benchmark.pedantic(
         local_search,
         args=(mapping,),
-        kwargs={"max_rounds": 2, "use_delta": False},
+        kwargs={"max_rounds": 2, "backend": "reference"},
         rounds=3,
         iterations=1,
     )
@@ -82,7 +82,7 @@ def test_local_search_delta(benchmark, mapping):
     refined = benchmark.pedantic(
         local_search,
         args=(mapping,),
-        kwargs={"max_rounds": 2, "use_delta": True},
+        kwargs={"max_rounds": 2},
         rounds=3,
         iterations=1,
     )
@@ -100,20 +100,20 @@ def test_local_search_delta_speedup(mapping):
     margin over the 10x threshold is not worth intermittent CI red.
     """
 
-    def best_of(n, use_delta):
+    def best_of(n, backend=None):
         times, results = [], []
         for _ in range(n):
             start = time.perf_counter()
-            results.append(local_search(mapping, max_rounds=2, use_delta=use_delta))
+            results.append(local_search(mapping, max_rounds=2, backend=backend))
             times.append(time.perf_counter() - start)
         return min(times), results[-1]
 
     # Warm both paths once (memoized buffer_requirements, allocators).
-    local_search(mapping, max_rounds=1, use_delta=True)
-    local_search(mapping, max_rounds=1, use_delta=False)
+    local_search(mapping, max_rounds=1)
+    local_search(mapping, max_rounds=1, backend="reference")
 
-    t_delta, fast = best_of(3, use_delta=True)
-    t_full, slow = best_of(3, use_delta=False)
+    t_delta, fast = best_of(3)
+    t_full, slow = best_of(3, backend="reference")
 
     # Equal-or-better period, with ulp headroom: on a near-tie the delta
     # and full paths may pick different (equally good) moves.

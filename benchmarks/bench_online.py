@@ -3,8 +3,9 @@
 The :class:`~repro.runtime.scheduler.OnlineScheduler` promises that
 per-candidate work (placing an arriving task, scoring a remapping move)
 is delta-scored in O(deg) — never a full ``analyze()`` per candidate.
-``use_delta=False`` swaps in the full-``analyze()`` reference evaluator,
-so replaying the *same* seeded scenario through both paths isolates
+``backend="reference"`` swaps in the full-``analyze()`` reference engine
+(the test and benchmark oracle, selectable only explicitly), so
+replaying the *same* seeded scenario through both engines isolates
 exactly that contract:
 
 * ``test_online_delta_speedup_guard`` replays a 20-event scenario
@@ -59,9 +60,9 @@ def make_faulty_events(platform, n_events=20):
     return injector.inject(base, n_bursts=3, n_perturbations=1)
 
 
-def play(platform, events, use_delta, **knobs):
+def play(platform, events, backend=None, **knobs):
     scheduler = OnlineScheduler(
-        platform, migration_budget=3, use_delta=use_delta, **knobs
+        platform, migration_budget=3, backend=backend, **knobs
     )
     return scheduler.run(events)
 
@@ -70,7 +71,7 @@ def same_decisions(a, b):
     """Report equality modulo the evaluation-engine tag.
 
     The delta path records the resolved kernel backend while the
-    ``use_delta=False`` path records ``"reference"`` — the guards
+    ``backend="reference"`` path records ``"reference"`` — the guards
     compare the *decisions*, so the tag is normalized away."""
     return replace(a, kernel_backend="") == replace(b, kernel_backend="")
 
@@ -79,7 +80,7 @@ def same_decisions(a, b):
 def test_online_runtime_delta(benchmark, platform):
     """Full 20-event scenario through the delta-evaluated scheduler."""
     events = make_events(platform)
-    report = benchmark(play, platform, events, True)
+    report = benchmark(play, platform, events)
     assert report.n_events == 20
 
 
@@ -104,11 +105,11 @@ def test_online_delta_speedup_guard(platform):
             best = min(best, time.perf_counter() - start)
         return best
 
-    delta_time = time_best_of(lambda: play(platform, events, True))
-    full_time = time_best_of(lambda: play(platform, events, False))
+    delta_time = time_best_of(lambda: play(platform, events))
+    full_time = time_best_of(lambda: play(platform, events, "reference"))
     # Same decisions, so the ratio is pure evaluation cost.
     assert same_decisions(
-        play(platform, events, True), play(platform, events, False)
+        play(platform, events), play(platform, events, "reference")
     )
     speedup = full_time / delta_time
     assert speedup >= 5.0, (
@@ -135,11 +136,13 @@ def test_online_delta_speedup_guard_faulty(platform):
             best = min(best, time.perf_counter() - start)
         return best
 
-    delta_time = time_best_of(lambda: play(platform, events, True, **knobs))
-    full_time = time_best_of(lambda: play(platform, events, False, **knobs))
+    delta_time = time_best_of(lambda: play(platform, events, **knobs))
+    full_time = time_best_of(
+        lambda: play(platform, events, "reference", **knobs)
+    )
     assert same_decisions(
-        play(platform, events, True, **knobs),
-        play(platform, events, False, **knobs),
+        play(platform, events, **knobs),
+        play(platform, events, "reference", **knobs),
     )
     speedup = full_time / delta_time
     assert speedup >= 5.0, (
@@ -155,11 +158,11 @@ def test_online_admission_throughput(platform):
     hold its passivity contract: the metrics-on replay must produce the
     identical report as the metrics-off replay."""
     events = make_events(platform)
-    baseline = play(platform, events, True)
+    baseline = play(platform, events)
     registry = metrics.enable(metrics.MetricsRegistry())
     try:
         start = time.perf_counter()
-        report = play(platform, events, True)
+        report = play(platform, events)
         elapsed = time.perf_counter() - start
     finally:
         metrics.disable()

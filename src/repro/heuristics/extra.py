@@ -58,11 +58,12 @@ from ..errors import MappingError
 from ..graph.stream_graph import StreamGraph
 from ..obs.tracing import span as _span
 from ..platform.cell import CellPlatform
+from ..steady_state.backend import make_analyzer
 from ..steady_state.delta import ClonePool, DeltaAnalyzer
 from ..steady_state.mapping import Mapping
 from ..steady_state.objective import make_objective
 from ..steady_state.periods import buffer_requirements
-from ..steady_state.throughput import PeriodAnalysis, analyze
+from ..steady_state.throughput import analyze
 from .greedy import greedy_cpu, greedy_mem
 
 __all__ = [
@@ -194,16 +195,10 @@ def critical_path_mapping(graph: StreamGraph, platform: CellPlatform) -> Mapping
     return Mapping(graph, platform, assignment)
 
 
-def _analysis_value(objective, analysis: PeriodAnalysis) -> float:
-    """Objective value of a full ``analyze()`` result (reference path)."""
-    return objective.value(analysis.period, analysis.app_periods)
-
-
 def local_search(
     mapping: Mapping,
     max_rounds: int = 50,
     try_swaps: bool = True,
-    use_delta: bool = True,
     elide_local_comm: bool = False,
     merge_same_pe_buffers: bool = False,
     objective: str = "period",
@@ -215,33 +210,27 @@ def local_search(
     task-pair swap) and applies the best strictly-improving *feasible* one;
     stops at a local optimum or after ``max_rounds``.
 
-    With ``use_delta=True`` (default) candidates are scored incrementally
-    by :class:`DeltaAnalyzer` in O(deg(task)) each; ``use_delta=False``
-    keeps the original full-``analyze`` evaluation (O(V+E) per candidate)
-    as a reference implementation for tests and benchmarks.  Both paths
-    visit candidates in the same order; their scores agree exactly for
+    Candidates are scored incrementally by :class:`DeltaAnalyzer` in
+    O(deg(task)) each; ``backend="reference"`` (the test and benchmark
+    oracle, selectable only explicitly) runs the same loop with one full
+    ``analyze()`` per candidate instead.  Every engine (see
+    :func:`~repro.steady_state.backend.make_analyzer`) visits
+    candidates in the same order; their scores agree exactly for
     integer-valued costs and to within one ulp otherwise (see delta.py),
     so the returned mappings match unless two candidates tie that
     tightly — in which case the resulting periods are equal to ulps.
 
-    ``elide_local_comm`` / ``merge_same_pe_buffers`` switch both paths to
+    ``elide_local_comm`` / ``merge_same_pe_buffers`` switch the engine to
     the corresponding mapping-dependent buffer model; ``objective``
     switches the ranking on workload composites (see the module
-    docstring); ``backend`` selects the delta engine's kernel backend
-    (the result is backend-independent).
+    docstring).
     """
     obj = make_objective(objective, mapping.graph)
-    if not use_delta:
-        return _local_search_full(
-            mapping, max_rounds, try_swaps,
-            elide_local_comm, merge_same_pe_buffers, obj,
-        )
-
-    state = DeltaAnalyzer(
+    state = make_analyzer(
         mapping,
+        backend,
         elide_local_comm=elide_local_comm,
         merge_same_pe_buffers=merge_same_pe_buffers,
-        backend=backend,
     )
     current_value = state.evaluate(obj).value if state.feasible else float("inf")
     platform = mapping.platform
@@ -295,64 +284,6 @@ def local_search(
                 state.evaluate(obj).value if state.feasible else float("inf")
             )
     return state.mapping()
-
-
-def _local_search_full(
-    mapping: Mapping,
-    max_rounds: int,
-    try_swaps: bool,
-    elide_local_comm: bool = False,
-    merge_same_pe_buffers: bool = False,
-    obj=None,
-) -> Mapping:
-    """Reference steepest descent: full ``analyze`` per candidate (seed code)."""
-    if obj is None:
-        obj = make_objective("period", mapping.graph)
-    flags = dict(
-        elide_local_comm=elide_local_comm,
-        merge_same_pe_buffers=merge_same_pe_buffers,
-    )
-    current = mapping
-    current_analysis = analyze(current, **flags)
-    current_value = (
-        _analysis_value(obj, current_analysis)
-        if current_analysis.feasible
-        else float("inf")
-    )
-    platform = mapping.platform
-    names = mapping.graph.task_names()
-
-    for _ in range(max_rounds):
-        best_candidate = None
-        best_value = current_value
-        for name in names:
-            origin = current.pe_of(name)
-            for pe in range(platform.n_pes):
-                if pe == origin:
-                    continue
-                candidate = current.with_assignment(name, pe)
-                analysis = analyze(candidate, **flags)
-                value = _analysis_value(obj, analysis)
-                if analysis.feasible and value < best_value:
-                    best_candidate, best_value = candidate, value
-        if try_swaps:
-            for a_idx in range(len(names)):
-                for b_idx in range(a_idx + 1, len(names)):
-                    a, b = names[a_idx], names[b_idx]
-                    pe_a, pe_b = current.pe_of(a), current.pe_of(b)
-                    if pe_a == pe_b:
-                        continue
-                    candidate = current.with_assignment(
-                        a, pe_b
-                    ).with_assignment(b, pe_a)
-                    analysis = analyze(candidate, **flags)
-                    value = _analysis_value(obj, analysis)
-                    if analysis.feasible and value < best_value:
-                        best_candidate, best_value = candidate, value
-        if best_candidate is None:
-            break
-        current, current_value = best_candidate, best_value
-    return current
 
 
 def budgeted_descent(

@@ -116,14 +116,14 @@ def read_checkpoint(path: Union[str, Path]) -> Dict:
 
 def scheduler_from_config(
     config: Dict,
-    use_delta: bool = True,
     backend: Optional[str] = None,
 ) -> OnlineScheduler:
     """A fresh scheduler from a :meth:`OnlineScheduler.config` echo.
 
-    ``use_delta``/``backend`` pick the evaluation engine — they are not
-    part of the config echo because they never influence a decision
-    (backend interchangeability), so recovery may run on any engine.
+    ``backend`` picks the evaluation engine (``"reference"`` included) —
+    it is not part of the config echo because it never influences a
+    decision (backend interchangeability), so recovery may run on any
+    engine.
     """
     try:
         platform = CellPlatform(**config["platform"])
@@ -133,7 +133,6 @@ def scheduler_from_config(
             migration_budget=int(config["migration_budget"]),
             elide_local_comm=bool(config["elide_local_comm"]),
             merge_same_pe_buffers=bool(config["merge_same_pe_buffers"]),
-            use_delta=use_delta,
             backend=backend,
             name=str(config["name"]),
             shed_policy=str(config["shed_policy"]),
@@ -267,7 +266,6 @@ class DurableScheduler:
         cls,
         journal_path: Union[str, Path],
         checkpoint_path: Optional[Union[str, Path]] = None,
-        use_delta: bool = True,
         backend: Optional[str] = None,
         checkpoint_every: int = 0,
         fsync: bool = True,
@@ -285,9 +283,7 @@ class DurableScheduler:
         scheduler: Optional[OnlineScheduler] = None
         if checkpoint_path is not None and Path(checkpoint_path).exists():
             payload = read_checkpoint(checkpoint_path)
-            scheduler = scheduler_from_config(
-                payload["config"], use_delta=use_delta, backend=backend
-            )
+            scheduler = scheduler_from_config(payload["config"], backend=backend)
             try:
                 scheduler.restore_state(payload["state"])
             except OnlineSchedulingError as exc:
@@ -309,9 +305,7 @@ class DurableScheduler:
                     "and no checkpoint was given; cannot rebuild the "
                     "scheduler"
                 )
-            scheduler = scheduler_from_config(
-                config, use_delta=use_delta, backend=backend
-            )
+            scheduler = scheduler_from_config(config, backend=backend)
         for idx, event in entries:
             if idx < start:
                 continue

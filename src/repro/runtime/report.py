@@ -129,7 +129,8 @@ class RuntimeReport:
     records: List[EventRecord] = field(default_factory=list)
     #: Resolved kernel backend name of the run's evaluation engine
     #: ("python" | "numpy" | "cython", or "reference" for the
-    #: full-``analyze()`` path).  "" in archives predating the field.
+    #: full-``analyze()`` oracle engine).  "" in archives predating the
+    #: field.
     kernel_backend: str = ""
 
     # ------------------------------------------------------------------ #

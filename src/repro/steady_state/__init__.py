@@ -9,6 +9,8 @@
   (the engine behind the neighbourhood-search heuristics), with batched
   ``score_moves`` / ``evaluate_moves`` / ``best_move`` neighbourhood
   scoring;
+* :class:`ReferenceAnalyzer` — the full-``analyze()`` oracle engine
+  behind ``backend="reference"``; :func:`make_analyzer` builds either;
 * :class:`CompiledGraph` / :func:`compile_graph` — the memoized
   integer-indexed graph arrays (CSR adjacency, flat cost tables) the
   delta engine runs on;
@@ -28,8 +30,10 @@ from .backend import (
     BACKEND_ENV_VAR,
     KERNEL_BACKENDS,
     NO_EXTENSION_ENV_VAR,
+    REFERENCE_BACKEND,
     available_backends,
     cython_available,
+    make_analyzer,
     numpy_available,
     resolve_backend,
 )
@@ -43,6 +47,7 @@ from .periods import (
     first_periods,
     spe_buffer_load,
 )
+from .reference import ReferenceAnalyzer
 from .schedule import (
     ComputeEvent,
     PeriodicSchedule,
@@ -64,8 +69,10 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "KERNEL_BACKENDS",
     "NO_EXTENSION_ENV_VAR",
+    "REFERENCE_BACKEND",
     "available_backends",
     "cython_available",
+    "make_analyzer",
     "numpy_available",
     "resolve_backend",
     "CompiledGraph",
@@ -74,6 +81,7 @@ __all__ = [
     "DeltaAnalyzer",
     "MoveScore",
     "ObjectiveScore",
+    "ReferenceAnalyzer",
     "OBJECTIVES",
     "make_objective",
     "Mapping",

@@ -49,6 +49,12 @@ model, where candidate footprints are mapping-independent; the
 
 Setting ``REPRO_NO_EXTENSION=1`` makes the process behave as if the
 extension were never built (CI's forced no-extension leg).
+
+``backend="reference"`` is no kernel: :func:`make_analyzer` then builds
+the full-``analyze()`` ``ReferenceAnalyzer``, the test and benchmark
+oracle.  Only that explicit argument selects it; ``REPRO_KERNEL_BACKEND``,
+``auto`` and :func:`available_backends` never do, and
+:func:`resolve_backend` (so the metaheuristics) rejects the name.
 """
 
 from __future__ import annotations
@@ -62,8 +68,10 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "KERNEL_BACKENDS",
     "NO_EXTENSION_ENV_VAR",
+    "REFERENCE_BACKEND",
     "available_backends",
     "cython_available",
+    "make_analyzer",
     "numpy_available",
     "resolve_backend",
 ]
@@ -78,6 +86,9 @@ NO_EXTENSION_ENV_VAR = "REPRO_NO_EXTENSION"
 #: The recognised backend names (``auto`` additionally accepted as a
 #: selector meaning "pick for me").
 KERNEL_BACKENDS: Tuple[str, ...] = ("python", "numpy", "cython")
+
+#: The full-``analyze()`` oracle engine, selectable only explicitly.
+REFERENCE_BACKEND = "reference"
 
 _NUMPY_OK: Optional[bool] = None
 _CYTHON_OK: Optional[bool] = None
@@ -161,3 +172,21 @@ def resolve_backend(backend: Optional[str] = None) -> str:
             "`python setup.py build_ext --inplace` for a source tree"
         )
     return choice
+
+
+def make_analyzer(
+    mapping,
+    backend: Optional[str] = None,
+    elide_local_comm: bool = False,
+    merge_same_pe_buffers: bool = False,
+):
+    """A ``ReferenceAnalyzer`` over ``mapping`` for ``backend="reference"``,
+    else a ``DeltaAnalyzer`` on the kernel :func:`resolve_backend` picks
+    (imported lazily: both engines import this module)."""
+    if backend == REFERENCE_BACKEND:
+        from .reference import ReferenceAnalyzer
+
+        return ReferenceAnalyzer(mapping, elide_local_comm, merge_same_pe_buffers)
+    from .delta import DeltaAnalyzer
+
+    return DeltaAnalyzer(mapping, elide_local_comm, merge_same_pe_buffers, backend)

@@ -18,17 +18,26 @@ import pytest
 from test_delta import PLATFORMS, integer_cost_graph
 
 from repro.errors import KernelBackendError, MappingError
-from repro.heuristics import critical_path_mapping, local_search, tabu_search
+from repro.heuristics import (
+    critical_path_mapping,
+    genetic_algorithm,
+    local_search,
+    simulated_annealing,
+    tabu_search,
+)
 from repro.platform import CellPlatform
 from repro.runtime import OnlineScheduler
 from repro.steady_state import (
     BACKEND_ENV_VAR,
     NO_EXTENSION_ENV_VAR,
+    REFERENCE_BACKEND,
     DeltaAnalyzer,
     KERNEL_BACKENDS,
     Mapping,
+    ReferenceAnalyzer,
     available_backends,
     cython_available,
+    make_analyzer,
     numpy_available,
     resolve_backend,
 )
@@ -84,6 +93,28 @@ class TestResolveBackend:
         monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
         with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
             resolve_backend()
+
+    def test_reference_is_selected_only_explicitly(self, monkeypatch):
+        assert REFERENCE_BACKEND not in KERNEL_BACKENDS
+        assert REFERENCE_BACKEND not in available_backends()
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert resolve_backend() != REFERENCE_BACKEND
+        g = integer_cost_graph(2, n_min=6, n_max=9)
+        mapping = Mapping.all_on_ppe(g, CellPlatform.qs22())
+        assert isinstance(
+            make_analyzer(mapping, REFERENCE_BACKEND), ReferenceAnalyzer
+        )
+        # The metaheuristics need the delta engine: they reject the name.
+        for strategy in (tabu_search, simulated_annealing, genetic_algorithm):
+            with pytest.raises(KernelBackendError, match=REFERENCE_BACKEND):
+                strategy(g, CellPlatform.qs22(), backend=REFERENCE_BACKEND)
+        monkeypatch.setenv(BACKEND_ENV_VAR, REFERENCE_BACKEND)
+        with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
+            resolve_backend()
+        with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
+            local_search(mapping)
+        with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
+            OnlineScheduler(CellPlatform.qs22())
 
     def test_numpy_request_without_numpy_raises(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
@@ -217,14 +248,21 @@ class TestBackendThreading:
             sched.run([AppArrival(0.0, "app", integer_cost_graph(2, n_min=6, n_max=9))])
             assert sched.state.backend == backend
 
-    def test_reference_state_ignores_backend(self):
-        sched = OnlineScheduler(
-            CellPlatform.qs22(), use_delta=False, backend="numpy"
-        )
+    def test_online_scheduler_rejects_unknown_backend_at_construction(self):
+        with pytest.raises(KernelBackendError, match="bogus"):
+            OnlineScheduler(CellPlatform.qs22(), backend="bogus")
+
+    def test_online_report_names_the_engine_resolved_at_construction(
+        self, monkeypatch
+    ):
         from repro.runtime.events import AppArrival
 
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        sched = OnlineScheduler(CellPlatform.qs22())
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         sched.run([AppArrival(0.0, "app", integer_cost_graph(2, n_min=6, n_max=9))])
-        assert not hasattr(sched.state, "_kernel")
+        assert sched.state.backend == "numpy"
+        assert sched.report().kernel_backend == "numpy"
 
 
 @needs_numpy

@@ -23,11 +23,14 @@ from repro.heuristics import (
 )
 from repro.platform import CellPlatform
 from repro.steady_state import (
+    REFERENCE_BACKEND,
     DeltaAnalyzer,
     Mapping,
     MoveScore,
     analyze,
+    available_backends,
     buffer_requirements,
+    make_analyzer,
     period,
 )
 
@@ -49,6 +52,13 @@ PLATFORMS = (
         name="tight",
     ),
 )
+
+
+#: Every evaluation engine: the delta engine on each kernel backend this
+#: process can run, plus the full-``analyze()`` reference engine.  The
+#: equivalence tests run each engine over the same inputs and require
+#: the decisions of the default engine.
+ENGINES = available_backends() + (REFERENCE_BACKEND,)
 
 
 def integer_cost_graph(seed: int, n_min: int = 6, n_max: int = 24) -> StreamGraph:
@@ -201,6 +211,25 @@ class TestConsistency:
         with pytest.raises(MappingError):
             state.score_move(state.mapping().graph.task_names()[0], qs22.n_pes)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bad_commit_raises_and_keeps_state(self, engine, qs22):
+        """An out-of-range PE or unknown task fails at the commit call
+        itself and leaves the state unchanged, on every engine."""
+        g = integer_cost_graph(1)
+        state = make_analyzer(greedy_cpu(g, qs22), engine)
+        before = state.assignment()
+        a, b = g.task_names()[:2]
+        with pytest.raises(MappingError):
+            state.apply_move(a, 99)
+        with pytest.raises(MappingError):
+            state.apply_move(a, -1)
+        with pytest.raises(MappingError):
+            state.apply_move("nope", 0)
+        with pytest.raises(MappingError):
+            state.apply_changes({b: 0, a: qs22.n_pes})
+        assert state.assignment() == before
+        assert state.period() == period(Mapping(g, qs22, before))
+
     def test_score_is_named_tuple(self, qs22):
         state = DeltaAnalyzer(greedy_cpu(integer_cost_graph(2), qs22))
         score = state.score()
@@ -209,38 +238,38 @@ class TestConsistency:
         assert score.feasible == state.feasible
 
 
+def assert_same_on_every_engine(start, **kwargs):
+    """``local_search`` returns the default engine's mapping on each
+    engine of :data:`ENGINES`, the reference engine included."""
+    expected = local_search(start, **kwargs)
+    for engine in ENGINES:
+        found = local_search(start, backend=engine, **kwargs)
+        assert found.to_dict() == expected.to_dict(), engine
+        assert period(found) == period(expected), engine
+
+
 class TestLocalSearchEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_from_ppe_start(self, seed, qs22):
         g = integer_cost_graph(50 + seed, n_min=10, n_max=14)
         start = Mapping.all_on_ppe(g, qs22)
-        fast = local_search(start, max_rounds=6, use_delta=True)
-        slow = local_search(start, max_rounds=6, use_delta=False)
-        assert fast.to_dict() == slow.to_dict()
-        assert period(fast) == period(slow)
+        assert_same_on_every_engine(start, max_rounds=6)
 
     def test_matches_reference_on_generator_graph(self, qs22):
         g = assign_costs(random_topology(14, fat=0.5, seed=8), ccr=1.0, seed=8)
         start = greedy_cpu(g, qs22)
-        fast = local_search(start, max_rounds=8)
-        slow = local_search(start, max_rounds=8, use_delta=False)
-        assert fast.to_dict() == slow.to_dict()
-        assert period(fast) == period(slow)
+        assert_same_on_every_engine(start, max_rounds=8)
 
     def test_matches_reference_without_swaps(self, qs22):
         g = integer_cost_graph(77, n_min=10, n_max=14)
         start = Mapping.all_on_ppe(g, qs22)
-        fast = local_search(start, max_rounds=6, try_swaps=False)
-        slow = local_search(start, max_rounds=6, try_swaps=False, use_delta=False)
-        assert fast.to_dict() == slow.to_dict()
+        assert_same_on_every_engine(start, max_rounds=6, try_swaps=False)
 
     def test_matches_reference_on_dual_cell(self):
         platform = CellPlatform.qs22_dual()
         g = integer_cost_graph(33, n_min=8, n_max=12)
         start = Mapping.all_on_ppe(g, platform)
-        fast = local_search(start, max_rounds=4)
-        slow = local_search(start, max_rounds=4, use_delta=False)
-        assert fast.to_dict() == slow.to_dict()
+        assert_same_on_every_engine(start, max_rounds=4)
 
 
 class TestMetaheuristics:

@@ -15,12 +15,16 @@ import random
 
 import pytest
 
-from test_delta import PLATFORMS, integer_cost_graph
+from test_delta import (
+    PLATFORMS,
+    assert_same_on_every_engine,
+    integer_cost_graph,
+)
 
 from repro.generator import assign_costs, random_topology
-from repro.heuristics import greedy_cpu, local_search
+from repro.heuristics import greedy_cpu
 from repro.platform import CellPlatform
-from repro.steady_state import DeltaAnalyzer, Mapping, analyze, period
+from repro.steady_state import DeltaAnalyzer, Mapping, analyze
 
 #: The three mapping-dependent configurations under test.
 MODES = (
@@ -249,11 +253,9 @@ class TestMappingDependentConsistency:
 class TestLocalSearchUnderModes:
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_matches_full_reference(self, qs22, mode):
-        """Delta-evaluated local search equals the analyze()-per-candidate
-        reference under every buffer model."""
+        """Local search takes the same moves on every engine — the
+        analyze()-per-candidate reference included — under every buffer
+        model."""
         g = integer_cost_graph(52, n_min=10, n_max=13)
         start = Mapping.all_on_ppe(g, qs22)
-        fast = local_search(start, max_rounds=4, **mode)
-        slow = local_search(start, max_rounds=4, use_delta=False, **mode)
-        assert fast.to_dict() == slow.to_dict()
-        assert period(fast) == period(slow)
+        assert_same_on_every_engine(start, max_rounds=4, **mode)

@@ -23,6 +23,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from test_delta import ENGINES
 
 from repro.errors import CheckpointError, JournalError, OnlineSchedulingError
 from repro.graph import DataEdge, StreamGraph, Task
@@ -104,17 +105,17 @@ class TestSnapshotRestore:
         sched = fresh_scheduler(platform)
         for event in events[:6]:
             sched.process(event)
-        state = sched.snapshot_state()
-        finals = []
-        for use_delta in (True, False):
-            clone = scheduler_from_config(sched.config(), use_delta=use_delta)
+        config, state = sched.config(), sched.snapshot_state()
+        for event in events[6:]:
+            sched.process(event)
+        for engine in ENGINES:
+            clone = scheduler_from_config(config, backend=engine)
             clone.restore_state(state)
             for event in events[6:]:
                 clone.process(event)
-            finals.append(clone.report())
-        # The engine name differs by construction; the decisions do not.
-        assert finals[0].records == finals[1].records
-        assert finals[0].acceptance_rate == finals[1].acceptance_rate
+            # The engine name differs by construction; the decisions do not.
+            assert clone.report().kernel_backend == engine
+            assert clone.report().records == sched.report().records, engine
 
     def test_restore_rejects_unknown_schema(self, platform):
         sched = fresh_scheduler(platform)
@@ -359,13 +360,19 @@ class TestRecovery:
         )
         for event in events[:6]:
             durable.process(event)
-        with DurableScheduler.recover(
-            path, use_delta=False, fsync=False
-        ) as recovered:
-            for event in events[6:]:
-                recovered.process(event)
-            # The engine name differs; every decision must not.
-            assert recovered.scheduler.report().records == baseline.records
+        for engine in ENGINES:
+            # Recovery appends to its journal: each engine gets a copy.
+            copy = tmp_path / f"{engine}.jsonl"
+            shutil.copyfile(path, copy)
+            with DurableScheduler.recover(
+                copy, backend=engine, fsync=False
+            ) as recovered:
+                for event in events[6:]:
+                    recovered.process(event)
+                # The engine name differs; every decision must not.
+                report = recovered.scheduler.report()
+                assert report.kernel_backend == engine
+                assert report.records == baseline.records, engine
 
     def test_recover_without_anything_raises(self, tmp_path):
         with pytest.raises((JournalError, CheckpointError, OSError)):

@@ -12,6 +12,7 @@ parallel.
 import math
 
 import pytest
+from test_delta import ENGINES
 
 from repro.cli import main_experiment
 from repro.errors import (
@@ -218,23 +219,25 @@ class TestEndToEndAcceptance:
         assert play(11) != play(12)
 
     def test_delta_matches_reference_path(self, platform):
-        """use_delta=False (full analyze per candidate) must take the
-        exact same decisions on integer-cost graphs."""
-        def play(use_delta):
-            events = ScenarioGenerator(platform, seed=5, load=2.5).generate(20)
+        """Every engine — the full-analyze()-per-candidate reference
+        included — must take the exact same decisions on integer-cost
+        graphs."""
+        events = ScenarioGenerator(platform, seed=5, load=2.5).generate(20)
+
+        def play(backend=None):
             sched = OnlineScheduler(
-                platform, migration_budget=2, use_delta=use_delta
+                platform, migration_budget=2, backend=backend
             )
             report = sched.run(events)
             return report, sched.assignment()
 
-        fast_report, fast_assign = play(True)
-        slow_report, slow_assign = play(False)
-        # The engine label differs by design; the timeline must not.
-        assert fast_report.kernel_backend != "reference"
-        assert slow_report.kernel_backend == "reference"
-        assert fast_report.records == slow_report.records
-        assert fast_assign == slow_assign
+        expected_report, expected_assign = play()
+        for engine in ENGINES:
+            report, assign = play(engine)
+            # The engine label differs by design; the timeline must not.
+            assert report.kernel_backend == engine
+            assert report.records == expected_report.records, engine
+            assert assign == expected_assign, engine
 
     def test_multi_cell_platform(self):
         """The runtime works unchanged on the dual-Cell platform (BIF

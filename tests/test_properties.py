@@ -7,19 +7,33 @@ These encode the load-bearing identities of the paper's model:
 * the analytic period of any mapping is at least every lower bound the
   model implies, and the MILP never returns something worse than feasible
   heuristics or better than the brute-force optimum;
+* brute force is an oracle independent of every search engine: on tiny
+  DAGs its optimum bounds every strategy's output (``local_search`` on
+  each evaluation engine, tabu, SA, GA, GREEDYCPU) and equals the MILP;
 * max-min fair allocations never exceed port capacities and are Pareto
   (every flow is blocked by a saturated port);
-* the ideal simulator converges to the analytic throughput.
+* the ideal simulator converges to the analytic throughput, for random
+  mappings and for the mappings the search strategies return.
 """
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_delta import ENGINES
 
+from repro.complexity import optimal_mapping_brute_force
 from repro.generator import assign_costs, random_topology
 from repro.graph import ccr as graph_ccr
-from repro.heuristics import random_mapping
+from repro.heuristics import (
+    genetic_algorithm,
+    greedy_cpu,
+    local_search,
+    random_mapping,
+    simulated_annealing,
+    tabu_search,
+)
 from repro.milp import solve_optimal_mapping
 from repro.platform import CellPlatform
 from repro.simulator import FlowNetwork, SimConfig, simulate
@@ -32,6 +46,19 @@ from repro.steady_state import (
 SMALL_TOPOLOGY = st.builds(
     random_topology,
     n_tasks=st.integers(2, 14),
+    fat=st.floats(0.2, 1.2),
+    regularity=st.floats(0.0, 1.0),
+    density=st.floats(0.0, 1.0),
+    jump=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+)
+
+
+#: DAGs small enough to enumerate every mapping on 1 PPE + 2 SPEs
+#: (at most 3**6 = 729 mappings).
+TINY_TOPOLOGY = st.builds(
+    random_topology,
+    n_tasks=st.integers(2, 6),
     fat=st.floats(0.2, 1.2),
     regularity=st.floats(0.0, 1.0),
     density=st.floats(0.0, 1.0),
@@ -101,6 +128,29 @@ def test_milp_never_worse_than_random_feasible(topology, seed):
         assert milp.period <= contender_analysis.period + 1e-6
 
 
+@given(topology=TINY_TOPOLOGY, seed=st.integers(0, 300))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_brute_force_bounds_every_strategy_and_equals_milp(topology, seed):
+    graph = graph_from(topology, seed)
+    platform = CellPlatform(n_ppe=1, n_spe=2)
+    _, optimum = optimal_mapping_brute_force(graph, platform)
+    milp = solve_optimal_mapping(graph, platform, mip_rel_gap=None)
+    assert milp.period == pytest.approx(optimum, rel=1e-6)
+    start = greedy_cpu(graph, platform)
+    outputs = {"greedy_cpu": start}
+    for engine in ENGINES:
+        outputs["local_search/" + engine] = local_search(start, backend=engine)
+    outputs["tabu_search"] = tabu_search(graph, platform, seed=seed)
+    outputs["simulated_annealing"] = simulated_annealing(
+        graph, platform, seed=seed
+    )
+    outputs["genetic_algorithm"] = genetic_algorithm(graph, platform, seed=seed)
+    for name, mapping in outputs.items():
+        analysis = analyze(mapping)
+        if analysis.feasible:
+            assert optimum <= analysis.period, name
+
+
 @given(
     n_ports=st.integers(2, 6),
     n_flows=st.integers(1, 12),
@@ -145,13 +195,18 @@ def test_maxmin_capacity_and_pareto(n_ports, n_flows, seed, bw):
 def test_ideal_simulation_matches_model(topology, seed, map_seed):
     graph = graph_from(topology, seed)
     platform = CellPlatform.qs22().with_spes(3)
-    mapping = random_mapping(graph, platform, seed=map_seed)
-    analysis = analyze(mapping)
-    if not analysis.feasible:
-        return
-    result = simulate(mapping, 400, SimConfig.ideal())
-    assert result.efficiency() >= 0.93
-    assert result.steady_state_throughput() <= analysis.throughput * 1.07
+    mappings = (
+        random_mapping(graph, platform, seed=map_seed),
+        local_search(greedy_cpu(graph, platform)),
+        tabu_search(graph, platform, seed=map_seed),
+    )
+    for mapping in mappings:
+        analysis = analyze(mapping)
+        if not analysis.feasible:
+            continue
+        result = simulate(mapping, 400, SimConfig.ideal())
+        assert result.efficiency() >= 0.93
+        assert result.steady_state_throughput() <= analysis.throughput * 1.07
 
 
 @given(data=st.data())

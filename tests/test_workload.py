@@ -11,6 +11,7 @@ verified sequences per run), per-app periods included.
 import random
 
 import pytest
+from test_delta import assert_same_on_every_engine
 
 from repro.apps import audio_encoder, crypto_pipeline, video_pipeline
 from repro.errors import ObjectiveError, WorkloadError
@@ -462,21 +463,14 @@ class TestObjectiveHeuristics:
         assert analysis.feasible
         assert after <= before
 
-    def test_local_search_full_path_matches_delta_path(self, composite):
-        """The reference (use_delta=False) path ranks by the same values."""
+    def test_local_search_same_on_every_engine(self, composite):
+        """Every engine, the full-analyze() reference included, ranks
+        candidates by the same per-application objective values."""
         platform = CellPlatform.qs22().with_spes(2)
         start = Mapping.all_on_ppe(composite, platform)
-        fast = local_search(
+        assert_same_on_every_engine(
             start, max_rounds=2, try_swaps=False, objective="max_stretch"
         )
-        slow = local_search(
-            start,
-            max_rounds=2,
-            try_swaps=False,
-            use_delta=False,
-            objective="max_stretch",
-        )
-        assert fast.to_dict() == slow.to_dict()
 
     def test_weighted_objective_shifts_the_optimum(self):
         """A heavily-weighted app drags resources toward itself: its own
